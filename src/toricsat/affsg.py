@@ -1,10 +1,11 @@
 """Affine semigroups inside N^d: membership, minimal generators, hulls.
 
 Generators are nonzero lattice vectors with nonnegative coordinates, so the
-generated cone is pointed and membership over a box is decidable by dynamic
-programming.  Generator order is preserved from construction (it fixes the
-variable order of the toric ideal); only minimal-generator output is
-lexicographically sorted.
+generated cone is pointed and membership over a box is decided by one
+closure: starting from the origin, the table is OR-ed with its own shifts by
+each generator, doubling the shift until it leaves the box.  Generator order
+is preserved from construction (it fixes the variable order of the toric
+ideal); only minimal-generator output is lexicographically sorted.
 
 The hull machinery realizes K+ = conv(generators) + R^d_{>=0}, the convex
 hull of the nonzero members.  In dimensions 1 and 2 its bounded complement
@@ -77,43 +78,32 @@ def mk_affine(d: int, gens: Iterable[Sequence[int]]) -> AffineSemigroup:
     return AffineSemigroup(d, tuple(seen))
 
 
-def membership_table(gamma: AffineSemigroup, corner: Sequence[int]) -> np.ndarray:
-    """Boolean membership array over the box [0, corner], computed by DP.
-
-    Valid because every generator is nonnegative and nonzero: any member of
-    the box is a smaller box member plus a generator, so a single
-    lexicographic sweep fills the table.
-    """
-    corner_t = _check_vector(gamma.dim, corner)
-    shape = tuple(c + 1 for c in corner_t)
+def _box_shape(d: int, corner: Sequence[int]) -> tuple[int, ...]:
+    """Shape of the table over the box [0, corner], refused beyond the cell budget."""
+    shape = tuple(c + 1 for c in _check_vector(d, corner))
     cells = math.prod(shape)
     if cells > _CELL_BUDGET:
         raise BoxTooLarge(f"box {shape} has {cells} cells, budget is {_CELL_BUDGET}")
-    usable = [g for g in gamma.generators if all(gi <= ci for gi, ci in zip(g, corner_t))]
-    if gamma.dim == 2:
-        w, h = corner_t
-        rows = [bytearray(h + 1) for _ in range(w + 1)]
-        rows[0][0] = 1
-        for a in range(w + 1):
-            ra = rows[a]
-            for b in range(h + 1):
-                if ra[b]:
-                    continue
-                for g0, g1 in usable:
-                    if g0 <= a and g1 <= b and rows[a - g0][b - g1]:
-                        ra[b] = 1
-                        break
-        return np.array([[bool(x) for x in row] for row in rows], dtype=bool)
+    return shape
+
+
+def membership_table(gamma: AffineSemigroup, corner: Sequence[int]) -> np.ndarray:
+    """Boolean membership array over the box [0, corner], computed by closure.
+
+    OR-ing the table with its shifts by g, 2g, 4g, ... adds every multiple of
+    g that fits; generators are folded in one after another, which is exact
+    because the partial sums of a member of the box stay in the box.
+    """
+    shape = _box_shape(gamma.dim, corner)
     table = np.zeros(shape, dtype=bool)
     table[(0,) * gamma.dim] = True
-    for idx in np.ndindex(*shape):
-        if table[idx]:
-            continue
-        for g in usable:
-            prev = tuple(i - gi for i, gi in zip(idx, g))
-            if all(p >= 0 for p in prev) and table[prev]:
-                table[idx] = True
-                break
+    for g in gamma.generators:
+        shift = g
+        while all(s < n for s, n in zip(shift, shape)):
+            dst = tuple(slice(s, None) for s in shift)
+            src = tuple(slice(0, n - s) for s, n in zip(shift, shape))
+            table[dst] |= table[src]
+            shift = tuple(2 * s for s in shift)
     return table
 
 
@@ -128,14 +118,16 @@ def contains_affine(gamma: AffineSemigroup, v: Sequence[int]) -> bool:
 def min_generators_affine(gamma: AffineSemigroup) -> tuple[Vec, ...]:
     """The unique minimal generating set, in lexicographic order.
 
-    A generator is redundant exactly when it is generated by the others;
-    simultaneous removal is safe because the cone is pointed.
+    A generator g is redundant exactly when g - h is a member for some other
+    generator h <= g: any expression of g - h as a sum avoids g itself,
+    because every generator is nonzero and nonnegative.  So one table of the
+    whole semigroup over [0, g] decides g, and simultaneous removal is safe.
     """
-    gens = gamma.generators
     keep = []
-    for i, g in enumerate(gens):
-        others = gens[:i] + gens[i + 1 :]
-        if not others or not contains_affine(AffineSemigroup(gamma.dim, others), g):
+    for g in gamma.generators:
+        table = membership_table(gamma, g)
+        below = [h for h in gamma.generators if h != g and all(hi <= gi for hi, gi in zip(h, g))]
+        if not any(table[tuple(gi - hi for gi, hi in zip(g, h))] for h in below):
             keep.append(g)
     return tuple(sorted(keep))
 
@@ -194,15 +186,26 @@ def _chain_edges(chain: Sequence[Vec]) -> list[tuple[int, int, int]]:
     return edges
 
 
-def in_hull(gamma: AffineSemigroup, v: Sequence[int]) -> bool:
-    """Membership of a lattice point of N^d in K+ = conv(members \\ {0})."""
-    vt = _check_vector(gamma.dim, v)
+def hull_table(gamma: AffineSemigroup, corner: Sequence[int]) -> np.ndarray:
+    """Boolean array over the box [0, corner]: lattice points inside K+.
+
+    In dimension 2 every chain edge runs down and to the right (a, b > 0),
+    so each column x is inside from the height max ceil((c - a*x) / b) up;
+    columns from the x-axis corner on are inside from 0 up.  The thresholds
+    are exact integers, clipped to the box, so only the comparison with the
+    box-sized grid runs in numpy.
+    """
+    shape = _box_shape(gamma.dim, corner)
     if gamma.dim == 1:
-        return vt[0] >= min(g[0] for g in gamma.generators)
+        return np.arange(shape[0]) >= min(min(g[0] for g in gamma.generators), shape[0])
     if gamma.dim != 2:
         raise UnsupportedDimension("hull membership implemented for dimensions 1 and 2")
-    edges = _chain_edges(_hull_chain(gamma.generators))
-    return all(a * vt[0] + b * vt[1] >= c for a, b, c in edges)
+    chain = _hull_chain(gamma.generators)
+    edges = _chain_edges(chain)
+    low = [0] * shape[0]
+    for x in range(min(shape[0], chain[-1][0])):
+        low[x] = min(max(-((a * x - c) // b) for a, b, c in edges), shape[1])
+    return np.arange(shape[1]) >= np.array(low)[:, None]
 
 
 def hull_complement(gamma: AffineSemigroup) -> HullComplement:
@@ -221,20 +224,17 @@ def hull_complement(gamma: AffineSemigroup) -> HullComplement:
 
 
 def outside_hull_points(gamma: AffineSemigroup) -> tuple[Vec, ...]:
-    """All nonzero lattice points of the positive orthant outside K+."""
+    """All nonzero lattice points of the positive orthant outside K+, sorted."""
     if gamma.dim == 1:
-        m = min(g[0] for g in gamma.generators)
-        return tuple((k,) for k in range(1, m))
-    if gamma.dim != 2:
+        corner = (min(g[0] for g in gamma.generators),)
+    elif gamma.dim == 2:
+        px, py = _axis_corners(gamma.generators)
+        corner = (px[0], py[1])
+    else:
         raise UnsupportedDimension("hull complement implemented for dimensions 1 and 2")
-    px, py = _axis_corners(gamma.generators)
-    edges = _chain_edges(_hull_chain(gamma.generators))
-    out = []
-    for x in range(px[0] + 1):
-        for y in range(py[1] + 1):
-            if (x, y) != (0, 0) and any(a * x + b * y < c for a, b, c in edges):
-                out.append((x, y))
-    return tuple(sorted(out))
+    outside = ~hull_table(gamma, corner)
+    outside[(0,) * gamma.dim] = False
+    return tuple(tuple(int(i) for i in p) for p in np.argwhere(outside))
 
 
 def multiplicity_affine(gamma: AffineSemigroup) -> int:

@@ -10,6 +10,7 @@ byte when re-executed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional, Sequence
@@ -215,18 +216,15 @@ def execute(job: dict) -> dict:
     if kind == "saturate-curve":
         curve = lipsat.mk_curve(payload["supports"])
         result = lipsat.saturate_curve(curve)
-        lipsat.check_saturation(lipsat.curve_semigroup(curve), result)
-        m, support = lipsat.plane_model(curve)
-        exponents = numsg.char_exponents(m, support)
+        original = lipsat.curve_semigroup(curve)
+        lipsat.check_saturation(original, result)
         out = _saturation_dict(result)
-        out["characteristic_exponents"] = list(exponents.betas)
+        out["characteristic_exponents"] = [g[0] for g in original.generators]
         return out
     if kind == "saturate-product":
         curves = [lipsat.mk_curve(s) for s in payload["factors"]]
         result = lipsat.saturate_product(curves)
-        original = lipsat.curve_semigroup(curves[0])
-        for c in curves[1:]:
-            original = affsg.product(original, lipsat.curve_semigroup(c))
+        original = functools.reduce(affsg.product, map(lipsat.curve_semigroup, curves))
         lipsat.check_saturation(original, result)
         return _saturation_dict(result)
     if kind == "saturate-hypersurface":

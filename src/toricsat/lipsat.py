@@ -23,7 +23,6 @@ multiplicity preservation, hull containment) on a finite box.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -255,6 +254,8 @@ def check_saturation(
     if affsg.multiplicity_affine(original) != result.multiplicity:
         raise SelfCheckFailed("saturation changed the multiplicity")
     if d <= 2:
-        for idx in itertools.product(*(range(c + 1) for c in corner)):
-            if any(idx) and t_sat[idx] and not affsg.in_hull(original, idx):
-                raise SelfCheckFailed(f"saturation member {idx} escapes the hull K+")
+        escapes = t_sat & ~affsg.hull_table(original, corner)
+        escapes[(0,) * d] = False
+        if escapes.any():
+            idx = tuple(int(i[0]) for i in escapes.nonzero())
+            raise SelfCheckFailed(f"saturation member {idx} escapes the hull K+")

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -49,6 +51,8 @@ def test_min_generators():
     g = affsg.mk_affine(2, [(1, 0), (1, 1), (0, 2), (2, 1)])
     assert affsg.min_generators_affine(g) == ((0, 2), (1, 0), (1, 1))
     assert affsg.min_generators_affine(affsg.mk_affine(2, [(1, 0), (0, 1)])) == ((0, 1), (1, 0))
+    far = affsg.mk_affine(2, [(1000, 0), (0, 100000), (3, 7)])
+    assert affsg.min_generators_affine(far) == ((0, 100000), (3, 7), (1000, 0))
 
 
 def test_min_generators_product_example():
@@ -163,9 +167,15 @@ def test_contains_matches_exhaustive_search(gens):
 def test_contains_matches_exhaustive_search_dim3(gens):
     g = affsg.mk_affine(3, gens)
     members = affine_members(gens, 8)
+    table = affsg.membership_table(g, (10, 10, 10))
     for p in members:
         if all(c <= 10 for c in p):
             assert affsg.contains_affine(g, p)
+            assert table[p]
+    for p in itertools.product(range(9), repeat=3):
+        # the exhaustive search is complete for points of coordinate sum <= 8
+        if sum(p) <= 8:
+            assert table[p] == (p in members)
 
 
 @given(st.lists(small_vec, min_size=1, max_size=4, unique=True))

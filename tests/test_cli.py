@@ -151,6 +151,8 @@ def test_exit_codes():
     assert invoke("semigroup", "mult", "--gens", "1,x")[0] == 1
     # unsupported: no generator on an axis, hull complement unbounded
     assert invoke("semigroup", "hull", "--gens", "1,1;2,3")[0] == 2
+    # unsupported: the hull table over the bounded complement exceeds the cell budget
+    assert invoke("semigroup", "hull", "--gens", "1,0;0,1000000000")[0] == 2
     # unsupported: dimension 3 multiplicity
     assert invoke("semigroup", "mult", "--gens", "1,0,0;0,1,0;0,0,1")[0] == 2
     # argparse failures map to invalid input

@@ -173,6 +173,47 @@ def test_check_saturation_rejects_wrong_result():
     )
     with pytest.raises(SelfCheckFailed):
         lipsat.check_saturation(lipsat.hyp_semigroup(spec), bad)
+    # Whitney umbrella, and <(3,0),(0,3)> whose five escaping points pin the
+    # lexicographic order in which the first escape is reported
+    for gens, mult in (([(1, 0), (1, 1), (0, 2)], 2), ([(3, 0), (0, 3)], 9)):
+        escaping = lipsat.SaturationResult(
+            semigroup=affsg.mk_affine(2, [(1, 0), (0, 1)]),
+            min_gens=((0, 1), (1, 0)),
+            multiplicity=mult,
+            embedding_dimension=2,
+            parametrization=((1, 0), (0, 1)),
+        )
+        message = r"^saturation member \(0, 1\) escapes the hull K\+$"
+        with pytest.raises(SelfCheckFailed, match=message):
+            lipsat.check_saturation(affsg.mk_affine(2, gens), escaping)
+
+
+
+def test_check_saturation_hull_is_exact_on_large_boxes():
+    from toricsat.errors import SelfCheckFailed
+
+    # hull edge coefficients times box coordinates exceed 64-bit integers
+    for ygen, box in ((10**13, (10**6, 0)), (2**64, (2, 0))):
+        original = affsg.mk_affine(2, [(1, 0), (0, ygen)])
+        same = lipsat.SaturationResult(
+            semigroup=original,
+            min_gens=((0, ygen), (1, 0)),
+            multiplicity=ygen,
+            embedding_dimension=2,
+            parametrization=((0, ygen), (1, 0)),
+        )
+        lipsat.check_saturation(original, same, box=box)
+    original = affsg.mk_affine(2, [(1, 0), (0, 10**13)])
+    escaping = lipsat.SaturationResult(
+        semigroup=affsg.mk_affine(2, [(1, 0), (0, 1)]),
+        min_gens=((0, 1), (1, 0)),
+        multiplicity=10**13,
+        embedding_dimension=2,
+        parametrization=((1, 0), (0, 1)),
+    )
+    message = r"^saturation member \(0, 1\) escapes the hull K\+$"
+    with pytest.raises(SelfCheckFailed, match=message):
+        lipsat.check_saturation(original, escaping, box=(10**6, 1))
 
 
 spec_strategy = st.tuples(st.integers(1, 6), st.integers(1, 9), st.integers(2, 9)).filter(
