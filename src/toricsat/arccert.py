@@ -13,6 +13,16 @@ refutes membership.  Arcs here have polynomial coordinates with exact
 cyclotomic coefficients, so both orders are computed exactly and any third
 party can recompute them from the serialized certificate alone.
 
+Only the lowest nonzero term of a pullback matters, so no pullback is
+expanded in full.  Q(zeta_N) is a field: lowest coefficients never cancel
+inside a product, and x^a = x1^a1 x2^a2 starts exactly at
+a1*ord(x1) + a2*ord(x2).  If the two sides of x^a - y^a start at different
+exponents, the lower one is the order.  Otherwise both sides are divided by
+t^low and expanded modulo t^P for P = 1, 2, 4, ...; a truncated product
+agrees with the full one below t^P, so the first nonzero term of the
+difference below P is exact.  Once low + P exceeds both sides' degrees the
+truncation dropped nothing, and a zero difference is identically zero.
+
 Witness families for the hypersurface semigroup <(1,0), (alpha,beta), (0,N)>
 cover all three regions of non-members (a, b) with b not a multiple of N:
 
@@ -100,13 +110,52 @@ class NonMembershipCertificate:
         return self.verdict
 
 
+def _side(p1: ZetaPoly, p2: ZetaPoly, a1: int, a2: int):
+    """p1^a1 * p2^a2 as (lowest exponent, degree, factors divided by their lowest
+    power of t); None if it is identically zero."""
+    factors = [(p, a) for p, a in ((p1, a1), (p2, a2)) if a]
+    if any(p.is_zero() for p, _ in factors):
+        return None
+    low = sum(a * p.terms[0][0] for p, a in factors)
+    deg = sum(a * p.terms[-1][0] for p, a in factors)
+    shifted = [
+        (ZetaPoly(p.order, tuple((e - p.terms[0][0], c) for e, c in p.terms)), a)
+        for p, a in factors
+    ]
+    return low, deg, shifted
+
+
+def _series(order: int, factors, below: int) -> ZetaPoly:
+    """The product of the factors' powers, modulo t^below."""
+    out = ZetaPoly.monomial(order, 0)
+    for p, a in factors:
+        out = out.mul(p.power(a, below), below)
+    return out
+
+
 def pullback_order(arc: Arc, exponent: Sequence[int]) -> ExtOrder:
     """Order of vanishing of phi*(x^a - y^a); infinity if it is identically zero."""
     a1, a2 = (int(e) for e in exponent)
     if a1 < 0 or a2 < 0:
         raise ValueError("exponents must be nonnegative")
-    pulled = arc.x1**a1 * arc.x2**a2 - arc.y1**a1 * arc.y2**a2
-    return pulled.order_of_vanishing()
+    x = _side(arc.x1, arc.x2, a1, a2)
+    y = _side(arc.y1, arc.y2, a1, a2)
+    if x is None or y is None:
+        # one side is identically zero: the other side's lowest term survives
+        rest = x or y
+        return rest[0] if rest else float("inf")
+    (low, deg_x, fx), (low_y, deg_y, fy) = x, y
+    if low != low_y:
+        # lowest coefficients are nonzero, so the lower side's survives
+        return min(low, low_y)
+    below = 1
+    while True:
+        diff = _series(arc.order, fx, below) - _series(arc.order, fy, below)
+        if diff.terms:
+            return low + diff.terms[0][0]
+        if low + below > max(deg_x, deg_y):
+            return float("inf")
+        below *= 2
 
 
 def ideal_order(arc: Arc, ideal: DiagonalIdeal) -> ExtOrder:

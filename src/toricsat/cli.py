@@ -89,7 +89,9 @@ def _parse_binomial(text: str) -> list[list[int]]:
         raise InputError(f"could not parse binomial {text!r}, expected a,..:b,..") from exc
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The argv parser, built once per process: parsing does not change it."""
     parser = argparse.ArgumentParser(prog="toricsat", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -11,9 +11,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Union
+from typing import Optional, Union
+
+from .errors import BudgetExceeded
 
 Rational = Union[int, Fraction]
+
+# Largest N whose cyclotomic polynomial is built.  Building Phi_N takes about
+# N^2 steps and one product in Q(zeta_N) up to phi(N)^2, so a certificate
+# naming a huge order would otherwise hang its verifier.
+MAX_CYCLOTOMIC_ORDER = 256
+# Most nonzero terms one truncated product of ZetaPolys may hold.  The
+# witness families decide every order with at most 2; a dense series that
+# keeps growing is almost surely an identically zero difference, whose
+# truncated squarings cost about (terms)^2 * phi(N) each.
+MAX_SERIES_TERMS = 32
 
 
 def _poly_div_exact(num: list[int], den: list[int]) -> list[int]:
@@ -33,7 +45,7 @@ def _poly_div_exact(num: list[int], den: list[int]) -> list[int]:
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def cyclotomic_poly(n: int) -> tuple[int, ...]:
     """Coefficients of the n-th cyclotomic polynomial, constant term first.
 
@@ -42,6 +54,10 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
     """
     if n < 1:
         raise ValueError("order must be >= 1")
+    if n > MAX_CYCLOTOMIC_ORDER:
+        raise BudgetExceeded(
+            f"cyclotomic order {n} requested, at most {MAX_CYCLOTOMIC_ORDER} allowed"
+        )
     if n == 1:
         return (-1, 1)
     poly = [-1] + [0] * (n - 1) + [1]
@@ -104,7 +120,8 @@ class CyclotomicNumber:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return CyclotomicNumber(self.order, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+        summed = tuple(a + b if b else a for a, b in zip(self.coeffs, o.coeffs))
+        return CyclotomicNumber(self.order, summed)
 
     __radd__ = __add__
 
@@ -124,12 +141,12 @@ class CyclotomicNumber:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
+        nonzero = [(j, b) for j, b in enumerate(o.coeffs) if b]
         raw = [Fraction(0)] * (len(self.coeffs) + len(o.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
-                for j, b in enumerate(o.coeffs):
-                    if b:
-                        raw[i + j] += a * b
+                for j, b in nonzero:
+                    raw[i + j] += a * b
         return CyclotomicNumber(self.order, _reduce(self.order, raw))
 
     __rmul__ = __mul__
@@ -193,21 +210,37 @@ class ZetaPoly:
         negated = [(e, -c) for e, c in other.terms]
         return ZetaPoly.from_terms(self.order, list(self.terms) + negated)
 
-    def __mul__(self, other: "ZetaPoly") -> "ZetaPoly":
+    def mul(self, other: "ZetaPoly", below: Optional[int] = None) -> "ZetaPoly":
+        """The product; with `below`, only its terms of exponent < below, which
+        may number at most MAX_SERIES_TERMS."""
         out: list[tuple[int, CyclotomicNumber]] = []
         for e1, c1 in self.terms:
             for e2, c2 in other.terms:
+                if below is not None and e1 + e2 >= below:
+                    break
                 out.append((e1 + e2, c1 * c2))
-        return ZetaPoly.from_terms(self.order, out)
+        product = ZetaPoly.from_terms(self.order, out)
+        if below is not None and len(product.terms) > MAX_SERIES_TERMS:
+            raise BudgetExceeded(
+                f"a truncated series of {len(product.terms)} terms requested, "
+                f"at most {MAX_SERIES_TERMS} allowed"
+            )
+        return product
 
-    def __pow__(self, k: int) -> "ZetaPoly":
+    __mul__ = mul
+
+    def power(self, k: int, below: Optional[int] = None) -> "ZetaPoly":
+        """self**k; with `below`, only its terms of exponent < below."""
         if k < 0:
             raise ValueError("negative powers not supported")
         out = ZetaPoly.monomial(self.order, 0, 1)
         base = self
         while k:
             if k & 1:
-                out = out * base
-            base = base * base
+                out = out.mul(base, below)
             k >>= 1
+            if k:
+                base = base.mul(base, below)
         return out
+
+    __pow__ = power

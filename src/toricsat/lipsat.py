@@ -146,7 +146,7 @@ def hyp_semigroup(spec: HypersurfaceSpec) -> AffineSemigroup:
     return affsg.mk_affine(2, [(1, 0), (spec.alpha, spec.beta), (0, spec.bigN)])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def hyp_T_saturation(spec: HypersurfaceSpec) -> NumericalSemigroup:
     """Saturation of the numerical semigroup generated by {N, beta}."""
     lo, hi = sorted((spec.bigN, spec.beta))

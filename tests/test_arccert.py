@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -255,3 +256,59 @@ def test_dispatcher_certifies_exactly_the_non_members(a, b):
     else:
         cert = certify_hyp_point(SPEC, (a, b))
         assert cert.verdict and verify_certificate(cert)
+
+
+@st.composite
+def sparse_arcs(draw):
+    """Random sparse arcs over Q(zeta_n), n <= 7.
+
+    The y coordinates are either drawn freely, copied from x (every pullback
+    vanishes identically), or perturbed copies: y1 = x1 plus terms above its
+    lowest one and y2 = zeta^j x2, so lowest terms cancel for suitable
+    exponents and the order is decided further up.  Every coordinate spans
+    at most 3 degrees, so with exponents up to 5 no pullback spans more than
+    30 and no truncated series can outgrow MAX_SERIES_TERMS.
+    """
+    n = draw(st.integers(1, 7))
+
+    def coeff():
+        unit = CyclotomicNumber.zeta(n, draw(st.integers(0, n - 1)))
+        return unit * draw(st.sampled_from([1, -1, 2, Fraction(1, 3)]))
+
+    def poly(lo, hi):
+        size = draw(st.sampled_from([0, 1, 2, 3, 3]))
+        return ZetaPoly.from_terms(n, [(draw(st.integers(lo, hi)), coeff()) for _ in range(size)])
+
+    x1, x2 = poly(1, 4), poly(1, 4)
+    mode = draw(st.sampled_from(["free", "equal", "perturbed"]))
+    if mode == "free":
+        y1, y2 = poly(1, 4), poly(1, 4)
+    elif mode == "equal":
+        y1, y2 = x1, x2
+    else:
+        low = x1.terms[0][0] if x1.terms else 1
+        y1 = x1 + poly(low + 1, low + 3)
+        j = draw(st.just(0) | st.integers(0, n - 1))
+        y2 = x2 * ZetaPoly.monomial(n, 0, CyclotomicNumber.zeta(n, j))
+    return Arc(n, x1, x2, y1, y2)
+
+
+@given(sparse_arcs(), st.integers(0, 5), st.integers(0, 5))
+@settings(max_examples=300, deadline=None)
+def test_truncated_pullback_order_matches_full_expansion(arc, a1, a2):
+    full = arc.x1**a1 * arc.x2**a2 - arc.y1**a1 * arc.y2**a2
+    assert pullback_order(arc, (a1, a2)) == full.order_of_vanishing()
+
+
+def test_pullback_order_with_cancelling_and_vanishing_sides():
+    t = ZetaPoly.monomial(2, 1)
+    t2 = ZetaPoly.monomial(2, 2)
+    arc = Arc(2, t + t2, t, t + ZetaPoly.monomial(2, 40), t)
+    # (t + t^2)^3 - (t + t^40)^3 = 3 t^4 + ...: the t^3 terms cancel
+    assert pullback_order(arc, (3, 0)) == 4
+    assert pullback_order(arc, (0, 5)) == float("inf")  # x2 = y2
+    zero = ZetaPoly.zero(2)
+    arc = Arc(2, zero, t, t2, t)
+    assert pullback_order(arc, (1, 1)) == 3  # x side is 0, y side t^3
+    assert pullback_order(arc, (0, 1)) == float("inf")
+    assert pullback_order(Arc(2, zero, t, zero, t2), (2, 0)) == float("inf")

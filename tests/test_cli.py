@@ -207,3 +207,58 @@ def test_box_override():
     )
     assert code == 0
     assert json.loads(out)["result"]["validation_box"] == [12, 60]
+
+
+def _verify_blob(tmp_path, cert):
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(cert))
+    return invoke("certify", "verify", "--in", str(path), "--json")
+
+
+def test_tampered_huge_target_exponent_is_invalid(tmp_path):
+    # a certificate as the benchmark pool emits it: an interior arc at alpha = 10
+    code, out = invoke(
+        "certify", "hypersurface", "--alpha", "10", "--beta", "11", "--bigN", "5",
+        "--point", "7,3", "--json"
+    )
+    assert code == 0
+    cert = json.loads(out)["result"]["certificate"]
+    cert["target"] = [10**5, cert["target"][1]]
+    code, out = _verify_blob(tmp_path, cert)
+    assert code == 1
+    assert json.loads(out)["result"]["valid"] is False
+
+
+def _identity_arc_certificate(order, target):
+    coord = [[1, ["1"] + ["0"] * (order - 2)], [2, ["1"] + ["0"] * (order - 2)]]
+    return {
+        "schema_version": 1,
+        "cyclotomic_order": order,
+        "ideal": [[1, 0], [0, 1]],
+        "arc": {"x1": coord, "x2": coord, "y1": coord, "y2": coord},
+        "target": target,
+        "ord_target": None,
+        "ord_ideal": None,
+        "verdict": False,
+    }
+
+
+def test_hostile_certificates_exit_2_with_a_message(tmp_path, capsys):
+    from toricsat.cyclotomic import MAX_CYCLOTOMIC_ORDER, MAX_SERIES_TERMS
+
+    # x1 = y1 = t + t^2: the target's pullback is identically zero, and
+    # proving so would expand a dense series of a million terms
+    code, out = _verify_blob(tmp_path, _identity_arc_certificate(3, [10**6, 0]))
+    err = json.loads(out)["error"]
+    assert (code, err["exit_code"], err["type"]) == (2, 2, "BudgetExceeded")
+    assert f"at most {MAX_SERIES_TERMS} allowed" in err["message"]
+
+    cert = _identity_arc_certificate(3, [1, 0])
+    cert["cyclotomic_order"] = 100000
+    code, out = _verify_blob(tmp_path, cert)
+    err = json.loads(out)["error"]
+    assert (code, err["exit_code"], err["type"]) == (2, 2, "BudgetExceeded")
+    assert err["message"] == (
+        f"cyclotomic order 100000 requested, at most {MAX_CYCLOTOMIC_ORDER} allowed"
+    )
+    assert "Traceback" not in capsys.readouterr().err

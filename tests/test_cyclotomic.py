@@ -5,7 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricsat.cyclotomic import CyclotomicNumber, ZetaPoly, cyclotomic_poly, euler_phi
+from toricsat.cyclotomic import (
+    MAX_CYCLOTOMIC_ORDER,
+    MAX_SERIES_TERMS,
+    CyclotomicNumber,
+    ZetaPoly,
+    cyclotomic_poly,
+    euler_phi,
+)
+from toricsat.errors import BudgetExceeded
 
 
 def test_cyclotomic_poly_small():
@@ -91,3 +99,36 @@ def test_zeta_poly_basics():
 def test_zeta_poly_rejects_mixed_orders():
     with pytest.raises(ValueError):
         ZetaPoly.monomial(2, 1, CyclotomicNumber.zeta(5))
+
+
+def test_cyclotomic_order_is_budgeted():
+    assert euler_phi(MAX_CYCLOTOMIC_ORDER) >= 1
+    with pytest.raises(BudgetExceeded, match=f"{MAX_CYCLOTOMIC_ORDER + 1} requested"):
+        cyclotomic_poly(MAX_CYCLOTOMIC_ORDER + 1)
+
+
+sparse_poly = st.builds(
+    lambda terms: ZetaPoly.from_terms(
+        3, [(e, CyclotomicNumber.zeta(3, j) * c) for e, j, c in terms]
+    ),
+    st.lists(st.tuples(st.integers(0, 9), st.integers(0, 2), st.integers(-2, 2)), max_size=4),
+)
+
+
+@given(sparse_poly, sparse_poly, st.integers(0, 5), st.integers(1, 12))
+@settings(max_examples=80, deadline=None)
+def test_truncated_products_match_full_expansion(p, q, k, below):
+    def truncate(poly):
+        return ZetaPoly(poly.order, tuple((e, c) for e, c in poly.terms if e < below))
+
+    assert p.mul(q, below) == truncate(p * q)
+    assert p.power(k, below) == truncate(p**k)
+
+
+def test_truncated_series_size_is_budgeted():
+    dense = ZetaPoly.from_terms(2, [(0, 1), (1, 1)])  # 1 + t
+    width = MAX_SERIES_TERMS + 1
+    assert len(dense.power(width).terms) == width + 1  # full products are not capped
+    assert len(dense.power(width, below=MAX_SERIES_TERMS).terms) == MAX_SERIES_TERMS
+    with pytest.raises(BudgetExceeded, match=f"{width} terms requested, at most"):
+        dense.power(width, below=width)
