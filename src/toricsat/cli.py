@@ -427,7 +427,7 @@ def run(argv: Sequence[str], stdout=None) -> int:
     except (ValueError, KeyError, TypeError, OSError) as exc:
         # InputError and json/parse failures alike: the job never validated
         return _fail(out, args, job, exc, 1)
-    except UnsupportedError as exc:
+    except (UnsupportedError, MemoryError, RecursionError) as exc:
         return _fail(out, args, job, exc, 2)
     except (NotClosed, SelfCheckFailed) as exc:
         return _fail(out, args, job, exc, 3)
@@ -446,6 +446,8 @@ def run(argv: Sequence[str], stdout=None) -> int:
 
 
 def _fail(out, args, job, exc, code: int) -> int:
+    # MemoryError and RecursionError from the interpreter often carry no text
+    message = str(exc) or type(exc).__doc__
     if getattr(args, "json", False):
         out.write(
             canonical_json(
@@ -455,13 +457,13 @@ def _fail(out, args, job, exc, code: int) -> int:
                     "error": {
                         "exit_code": code,
                         "type": type(exc).__name__,
-                        "message": str(exc),
+                        "message": message,
                     },
                 }
             )
         )
     else:
-        out.write(f"error ({type(exc).__name__}): {exc}\n")
+        out.write(f"error ({type(exc).__name__}): {message}\n")
     return code
 
 

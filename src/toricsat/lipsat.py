@@ -150,8 +150,6 @@ def hyp_semigroup(spec: HypersurfaceSpec) -> AffineSemigroup:
 def hyp_T_saturation(spec: HypersurfaceSpec) -> NumericalSemigroup:
     """Saturation of the numerical semigroup generated by {N, beta}."""
     lo, hi = sorted((spec.bigN, spec.beta))
-    if lo == 1:
-        return numsg.mk_numerical([1])
     return numsg.saturate_chars(numsg.char_exponents(lo, [hi]))
 
 

@@ -1,20 +1,28 @@
 """Numerical semigroups: gcd-1 additive sub-semigroups of the naturals.
 
-A semigroup is stored canonically as (generators, conductor, small_elements)
-where the conductor is the least c with c + N contained in S, and
-small_elements lists the members strictly below it.  Membership is O(1)
-after construction.
+A semigroup S is stored by its generators and its Apéry set with respect to
+the multiplicity m (the least nonzero member): apery[r] is the least member
+congruent to r mod m.  So n is in S iff n >= apery[n % m], the conductor is
+max(apery) - m + 1, and memory is linear in m (Rosales & García-Sánchez,
+*Numerical Semigroups*, Springer 2009, ch. 1-2).  Generators fill the table
+by round-robin, O(m) per generator (Böcker & Lipták, Algorithmica 2007).
 
-The saturation machinery turns a set of characteristic exponents
-{b0 < b1 < ... < bg} (strictly decreasing gcd chain ending at 1) into the
-smallest saturated numerical semigroup containing them, by the staged union
+Saturating characteristic exponents b0 < b1 < ... < bg, with gcd chain
+e0 = b0 > ... > eg = 1, is the staged union E_0 = b0*N plus the betas,
+E_j = E_{j-1} union (b_j + e_j*N).  Each stage is an arithmetic progression,
+so the Apéry set of the union is apery[0] = 0 and, for r > 0,
 
-    E_0   = E union b0*N
-    E_j+1 = E_j union { b_{j+1} + k*e_{j+1} : k in N },   e_{j+1} = gcd(e_j, b_{j+1})
+    apery[r] = min over j >= 1 with e_j | r of  b_j + ((r - b_j) mod b0).
 
-and packages the final stage as a NumericalSemigroup.  Saturation itself is
-the closure condition s + d(s) in S for every member s, where d(s) is the
-gcd of the nonzero members not exceeding s.
+Before it is returned, the union is checked closed under addition (the Kunz
+inequalities apery[i] + apery[j] >= apery[(i + j) % m]) and saturated
+(s + d(s) in S for every member s, d(s) the gcd of the nonzero members up
+to s); a failure raises NotClosed.
+
+One budget, _BUDGET, bounds every step not linear in m: the round-robin
+(generators times m), the m*m pairs of the Kunz and minimal-generator
+checks, and every scan up to the conductor.  Going over it raises
+BudgetExceeded with the requested and allowed amounts.
 """
 
 from __future__ import annotations
@@ -22,20 +30,34 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress, repeat
+from operator import add, eq, lt
 from typing import Iterable
 
-from .errors import EmptyGenerators, GcdNotOne, NonCoprime, NotClosed
+from .errors import BudgetExceeded, EmptyGenerators, GcdNotOne, NonCoprime, NotClosed
+
+_BUDGET = 10**7
+
+
+def _charge(what: str, amount: int) -> None:
+    if amount > _BUDGET:
+        raise BudgetExceeded(f"{what}: {amount} requested, at most {_BUDGET} allowed")
 
 
 @dataclass(frozen=True)
 class NumericalSemigroup:
     generators: tuple[int, ...]
-    conductor: int
-    small_elements: tuple[int, ...]
+    apery: tuple[int, ...]
 
     @cached_property
-    def _small_set(self) -> frozenset[int]:
-        return frozenset(self.small_elements)
+    def conductor(self) -> int:
+        """Least c with c + N contained in S."""
+        return max(self.apery) - len(self.apery) + 1
+
+    @cached_property
+    def small_elements(self) -> tuple[int, ...]:
+        """The members strictly below the conductor."""
+        return tuple(n for n in _scan(self.conductor) if n in self)
 
     def __contains__(self, n: int) -> bool:
         return contains(self, n)
@@ -58,71 +80,73 @@ def _clean_generators(gens: Iterable[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _scan(limit: int) -> range:
+    _charge("scan up to the conductor", limit)
+    return range(limit)
+
+
 def mk_numerical(gens: Iterable[int]) -> NumericalSemigroup:
     """Build a numerical semigroup from positive generators with gcd 1."""
     gen_t = _clean_generators(gens)
     if math.gcd(*gen_t) != 1:
         raise NonCoprime(f"gcd of generators {gen_t} is {math.gcd(*gen_t)}, not 1")
     m = gen_t[0]
-    bound = 2 * gen_t[-1] * gen_t[-1] + gen_t[-1] + 1
-    while True:
-        member = bytearray(bound + 1)
-        member[0] = 1
-        for n in range(m, bound + 1):
-            for g in gen_t:
-                if g > n:
-                    break
-                if member[n - g]:
-                    member[n] = 1
-                    break
-        last_gap = next((n for n in range(bound, -1, -1) if not member[n]), None)
-        # A run of m consecutive members certifies everything beyond it.
-        if last_gap is None:
-            return NumericalSemigroup(gen_t, 0, ())
-        if last_gap <= bound - m:
-            conductor = last_gap + 1
-            small = tuple(n for n in range(conductor) if member[n])
-            return NumericalSemigroup(gen_t, conductor, small)
-        bound *= 2
+    _charge("Apéry round-robin steps", len(gen_t) * m)
+    # Each Apéry element is a sum of fewer than m generators, so this exceeds them all.
+    apery = [m * gen_t[-1]] * m
+    apery[0] = 0
+    for a in gen_t[1:]:
+        d = math.gcd(a, m)
+        for p in range(d):
+            # Adding a walks the residues r = p (mod d) in one cycle; start at its minimum.
+            r = min(range(p, m, d), key=apery.__getitem__)
+            w = apery[r]
+            for _ in range(m // d - 1):
+                r = (r + a) % m
+                w = apery[r] = min(w + a, apery[r])
+    return NumericalSemigroup(gen_t, tuple(apery))
 
 
 def contains(s: NumericalSemigroup, n: int) -> bool:
     if n < 0:
         return False
-    return n >= s.conductor or n in s._small_set
+    return n >= s.apery[n % len(s.apery)]
 
 
 def gaps(s: NumericalSemigroup) -> tuple[int, ...]:
     """The finite complement of S in the naturals; empty for S = N."""
-    return tuple(n for n in range(s.conductor) if n not in s._small_set)
+    return tuple(n for n in _scan(s.conductor) if n not in s)
 
 
 def multiplicity_num(s: NumericalSemigroup) -> int:
     """Least nonzero member."""
-    if len(s.small_elements) > 1:
-        return s.small_elements[1]
-    return max(1, s.conductor)
+    return len(s.apery)
 
 
-def _members_upto(s: NumericalSemigroup, hi: int) -> list[int]:
-    return [n for n in range(hi + 1) if contains(s, n)]
+def _apery_min_generators(apery: tuple[int, ...]) -> tuple[int, ...]:
+    """m, plus each nonzero Apéry element that is not a sum of two nonzero ones.
+
+    Raises NotClosed on the first violated Kunz inequality (see the module docstring).
+    """
+    m = len(apery)
+    doubled = apery + apery
+    residues = tuple(range(m)) * 2
+    decomposable: set[int] = set()
+    for i in range(1, m):
+        # pairs (i, j) with i <= j < m; index i + j of the doubled tables is residue (i + j) % m
+        sums = list(map(add, repeat(apery[i]), apery[i:]))
+        targets = doubled[2 * i : m + i]
+        if any(map(lt, sums, targets)):
+            j = next(j for j, (x, t) in enumerate(zip(sums, targets), i) if x < t)
+            raise NotClosed(f"Apéry set not closed: {apery[i]}+{apery[j]} missing")
+        decomposable.update(compress(residues[2 * i : m + i], map(eq, sums, targets)))
+    return (m,) + tuple(sorted(apery[r] for r in range(1, m) if r not in decomposable))
 
 
 def min_generators_num(s: NumericalSemigroup) -> tuple[int, ...]:
-    """The unique inclusion-minimal generating set.
-
-    A nonzero member is a minimal generator exactly when it is not the sum
-    of two nonzero members.  Candidates are bounded by conductor +
-    multiplicity: beyond that, n - m is itself a nonzero member.
-    """
-    m = multiplicity_num(s)
-    hi = max(s.conductor + m - 1, m)
-    members = [n for n in _members_upto(s, hi) if n > 0]
-    out = []
-    for n in members:
-        if not any(m <= x <= n - m and contains(s, n - x) for x in members):
-            out.append(n)
-    return tuple(out)
+    """The unique inclusion-minimal generating set."""
+    _charge("Apéry pairs", len(s.apery) ** 2)
+    return _apery_min_generators(s.apery)
 
 
 def char_exponents(m: int, support: Iterable[int]) -> CharExponents:
@@ -152,45 +176,20 @@ def char_exponents(m: int, support: Iterable[int]) -> CharExponents:
     return CharExponents(tuple(betas), tuple(chain))
 
 
-def _min_generators_of_set(members: set[int], conductor: int) -> tuple[int, ...]:
-    m = min(x for x in members if x > 0)
-    hi = max(conductor + m - 1, m)
-    elems = [n for n in range(1, hi + 1) if n in members or n >= conductor]
-    out = []
-    for n in elems:
-        if not any(m <= x <= n - m and ((n - x) in members or (n - x) >= conductor) for x in elems):
-            out.append(n)
-    return tuple(out)
-
-
 def saturate_chars(exponents: CharExponents) -> NumericalSemigroup:
     """Smallest saturated numerical semigroup containing the given exponents.
 
-    Runs the staged-union construction, detects the conductor, and validates
-    both closure under addition and the saturation condition before
-    packaging; a failure raises NotClosed and indicates a bug, not bad input.
+    Self-checked as the module docstring says; NotClosed indicates a bug, not
+    bad input.
     """
-    betas = exponents.betas
-    chain = exponents.gcd_chain
-    b0, bg = betas[0], betas[-1]
-    # The final stage adds bg + N, so the conductor is at most bg; the extra
-    # margin keeps the closure check honest well past it.
-    bound = bg + 2 * max(bg, b0 * b0)
-    elems = set(range(0, bound + 1, b0))
-    elems.update(betas)
-    for j in range(1, len(betas)):
-        elems.update(range(betas[j], bound + 1, chain[j]))
-    last_gap = next((n for n in range(bound, -1, -1) if n not in elems), None)
-    conductor = 0 if last_gap is None else last_gap + 1
-    small_members = [n for n in range(1, conductor) if n in elems]
-    for a in small_members:
-        for b in small_members:
-            if a + b >= conductor:
-                break
-            if a + b not in elems:
-                raise NotClosed(f"saturation stages not closed: {a}+{b} missing")
-    small = tuple(n for n in range(conductor) if n in elems)
-    result = NumericalSemigroup(_min_generators_of_set(elems, conductor), conductor, small)
+    b0 = exponents.betas[0]
+    # the Kunz check is quadratic in b0: refuse before building the table
+    _charge("Apéry pairs", b0 * b0)
+    stages = list(zip(exponents.betas[1:], exponents.gcd_chain[1:]))
+    apery = (0,) + tuple(
+        min(b + (r - b) % b0 for b, e in stages if r % e == 0) for r in range(1, b0)
+    )
+    result = NumericalSemigroup(_apery_min_generators(apery), apery)
     if not is_saturated(result):
         raise NotClosed("staged construction produced a non-saturated semigroup")
     return result
@@ -202,11 +201,10 @@ def is_saturated(s: NumericalSemigroup) -> bool:
     Checked up to conductor + max(generators); past that point d(s) = 1 and
     co-finiteness makes the condition automatic.
     """
-    limit = s.conductor + (max(s.generators) if s.generators else 1)
     d = 0
-    for n in range(1, limit + 1):
-        if contains(s, n):
+    for n in _scan(s.conductor + max(s.generators) + 1):
+        if n and n in s:
             d = math.gcd(d, n)
-            if not contains(s, n + d):
+            if n + d not in s:
                 return False
     return True

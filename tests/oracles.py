@@ -41,3 +41,23 @@ def affine_members(gens, max_coeff_sum):
             vec = tuple(sum(c * g[i] for c, g in zip(coeffs, gens)) for i in range(len(gens[0])))
             out.add(vec)
     return out
+
+
+def staged_union_members(betas, gcd_chain):
+    """The staged union of characteristic exponents up to bg + b0, as a plain set.
+
+    Stage 0 is b0*N with the betas, stage j adds b_j + e_j*N.  The last stage
+    adds bg + N, so the conductor is at most bg and the returned bound leaves
+    room for every minimal generator (all below conductor + b0).
+    """
+    bound = betas[-1] + betas[0]
+    members = set(range(0, bound + 1, betas[0])) | set(betas)
+    for b, e in zip(betas[1:], gcd_chain[1:]):
+        members.update(range(b, bound + 1, e))
+    return members, bound
+
+
+def min_generators_from_members(members, bound):
+    """Nonzero members up to bound that are not a sum of two nonzero members."""
+    nonzero = sorted(n for n in members if 0 < n <= bound)
+    return [n for n in nonzero if not any(n - x in members for x in nonzero if 2 * x <= n)]

@@ -262,3 +262,37 @@ def test_hostile_certificates_exit_2_with_a_message(tmp_path, capsys):
         f"cyclotomic order 100000 requested, at most {MAX_CYCLOTOMIC_ORDER} allowed"
     )
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_numerical_budget_exits_2_with_a_message(capsys):
+    from toricsat.numsg import _BUDGET
+
+    cases = [
+        (("saturate", "curve", "--supports", "10000;10001"), 10000 * 10000),
+        (("saturate", "curve", "--supports", "2;1000000001"), 2 * 10**9 + 2),
+        (("semigroup", "gaps", "--gens", "1000000000;1000000001"), 2 * 10**9),
+    ]
+    for argv, requested in cases:
+        code, out = invoke(*argv, "--json")
+        err = json.loads(out)["error"]
+        assert (code, err["exit_code"], err["type"]) == (2, 2, "BudgetExceeded")
+        assert err["message"].endswith(f"{requested} requested, at most {_BUDGET} allowed")
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_interpreter_limits_exit_2_with_a_message(monkeypatch, capsys):
+    from toricsat import lipsat
+
+    for exc_type in (MemoryError, RecursionError):
+
+        def exhausted(curve, exc_type=exc_type):
+            raise exc_type()
+
+        monkeypatch.setattr(lipsat, "saturate_curve", exhausted)
+        code, out = invoke("saturate", "curve", "--supports", "2;3", "--json")
+        err = json.loads(out)["error"]
+        assert (code, err["exit_code"], err["type"]) == (2, 2, exc_type.__name__)
+        assert err["message"]
+        code, out = invoke("saturate", "curve", "--supports", "2;3")
+        assert code == 2 and out.startswith(f"error ({exc_type.__name__}): ")
+    assert "Traceback" not in capsys.readouterr().err

@@ -7,7 +7,13 @@ from hypothesis import strategies as st
 from toricsat import numsg
 from toricsat.errors import EmptyGenerators, GcdNotOne, NonCoprime
 
-from oracles import conductor_from_members, numerical_gaps, numerical_members
+from oracles import (
+    conductor_from_members,
+    min_generators_from_members,
+    numerical_gaps,
+    numerical_members,
+    staged_union_members,
+)
 
 
 def test_whole_naturals():
@@ -122,6 +128,26 @@ def test_contains_matches_enumeration(pair):
     assert s.conductor == conductor_from_members(members, 2 * p * q)
 
 
+generator_sets = st.lists(st.integers(1, 60), min_size=1, max_size=5).filter(
+    lambda g: math.gcd(*g) == 1
+)
+
+
+@given(generator_sets)
+@settings(max_examples=60, deadline=None)
+def test_generator_sets_match_enumeration(gens):
+    s = numsg.mk_numerical(gens)
+    # past the conductor: the Frobenius number is below (min - 1) * (max - 1)
+    bound = min(gens) * max(gens)
+    members = numerical_members(gens, bound)
+    assert [n for n in range(bound + 1) if numsg.contains(s, n)] == sorted(members)
+    assert s.conductor == conductor_from_members(members, bound)
+    assert numsg.gaps(s) == tuple(n for n in range(bound + 1) if n not in members)
+    # a generator is minimal iff the others do not generate it
+    mingens = [g for g in sorted(set(gens)) if g not in numerical_members(set(gens) - {g}, g)]
+    assert numsg.min_generators_num(s) == tuple(mingens)
+
+
 @st.composite
 def char_exponent_data(draw):
     m = draw(st.integers(2, 12))
@@ -148,6 +174,22 @@ def test_saturation_properties(data):
     assert numsg.multiplicity_num(sat) == exps.betas[0]
     # the saturated curve has as many minimal generators as its multiplicity
     assert len(sat.generators) == exps.betas[0]
+
+
+@given(char_exponent_data())
+@settings(max_examples=60, deadline=None)
+def test_saturate_chars_matches_staged_union(data):
+    m, support = data
+    try:
+        exps = numsg.char_exponents(m, support)
+    except GcdNotOne:
+        return
+    sat = numsg.saturate_chars(exps)
+    members, bound = staged_union_members(exps.betas, exps.gcd_chain)
+    conductor = conductor_from_members(members, bound)
+    assert sat.conductor == conductor
+    assert sat.small_elements == tuple(n for n in range(conductor) if n in members)
+    assert sat.generators == tuple(min_generators_from_members(members, bound))
 
 
 @given(coprime_pairs)
